@@ -1886,11 +1886,29 @@ _COMMANDS = {
 }
 
 
+#: Exit status when stdout's reader goes away early (``repro spans FILE
+#: | head -1``): 128 + SIGPIPE, what a shell reports for a writer the
+#: signal killed.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # The raw argv is archived with each run as provenance.
     args.argv_raw = list(argv) if argv is not None else sys.argv[1:]
-    return _COMMANDS[args.command](args)
+    try:
+        code = _COMMANDS[args.command](args)
+        # A reader that closes after the last write surfaces only at a
+        # flush, so flush here rather than at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout any more: point it at the null device so
+        # the interpreter's exit flush of the dead buffer stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":  # pragma: no cover

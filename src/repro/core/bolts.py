@@ -29,7 +29,7 @@ from repro.routing.base import Router
 from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import SimilarityFunction
 from repro.sketch.engine import SketchStreamingSetJoin
-from repro.sketch.minhash import MinHashScheme
+from repro.sketch.minhash import shared_scheme
 from repro.storm.components import Bolt, Spout
 from repro.storm.tuples import StormTuple
 from repro.streams.stream import RecordStream
@@ -140,7 +140,7 @@ class JoinBolt(Bolt):
             worker, workers = ctx.task_index, ctx.num_tasks
             self.engine = SketchStreamingSetJoin(
                 self.func,
-                scheme=MinHashScheme(perms=config.perms, bands=config.bands),
+                scheme=shared_scheme(perms=config.perms, bands=config.bands),
                 window=window,
                 meter=self.meter,
                 band_filter=(

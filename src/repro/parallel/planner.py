@@ -17,7 +17,7 @@ bit-equality across worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import JoinConfig
 from repro.partition.length_partition import LengthPartition
@@ -25,6 +25,11 @@ from repro.records import Record
 from repro.routing.base import Router, RoutingDecision
 from repro.routing.plan import plan_routing
 from repro.similarity.functions import SimilarityFunction, get_similarity
+
+#: Records per :meth:`ShardPlan.prepared` block: large enough that the
+#: band-key kernel's per-call overhead vanishes, small enough that its
+#: temporaries stay a few MB.
+ROUTE_BLOCK = 4096
 
 
 @dataclass
@@ -44,6 +49,17 @@ class ShardPlan:
 
     def route(self, record: Record) -> RoutingDecision:
         return self.router.route(record)
+
+    def prepared(self, records: Sequence[Record]) -> Iterator[Record]:
+        """``records`` in arrival order, each block of
+        :data:`ROUTE_BLOCK` prepared for routing (:meth:`Router.prepare`)
+        before its first record is yielded — in approx mode, one
+        band-key kernel call per block."""
+        prepare = self.router.prepare
+        for lo in range(0, len(records), ROUTE_BLOCK):
+            block = records[lo : lo + ROUTE_BLOCK]
+            prepare(block)
+            yield from block
 
     def tasks(self, record: Record) -> List[Tuple[int, int]]:
         """``(shard, op)`` pairs for one record, in the dispatcher's

@@ -523,7 +523,7 @@ class ParallelJoinRunner:
         fanout_peak = 0.0
         count = 0
         if not stride:
-            for record in records:
+            for record in plan.prepared(records):
                 tasks = plan.tasks(record)
                 fraction = len(tasks) / shards
                 fanout_total += fraction
@@ -544,10 +544,11 @@ class ParallelJoinRunner:
                 "total": fanout_total, "count": count, "peak": fanout_peak
             }
         traced_rids: List[List[int]] = [[] for _ in range(shards)]
-        for record in records:
+        for record in plan.prepared(records):
             # The feed event covers the record's routing and buffer
             # appends — including any batch flush it triggers, which is
             # latency the record genuinely experiences at the driver.
+            # Its block's band-key kernel call precedes it, unattributed.
             traced = not record.rid % stride
             if traced:
                 t_rec = monotonic()
@@ -1260,7 +1261,7 @@ def run_serial(
     matches: List[MatchRow] = []
     fanout_total = 0.0
     fanout_peak = 0.0
-    for record in records:
+    for record in plan.prepared(records):
         tasks = plan.tasks(record)
         fraction = len(tasks) / shards
         fanout_total += fraction

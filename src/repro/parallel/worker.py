@@ -113,7 +113,7 @@ from repro.routing.band_router import band_owner
 from repro.routing.prefix_router import token_owner
 from repro.similarity.functions import SimilarityFunction, get_similarity
 from repro.sketch.engine import SketchStreamingSetJoin
-from repro.sketch.minhash import MinHashScheme
+from repro.sketch.minhash import shared_scheme
 from repro.streams.window import SlidingWindow
 
 __all__ = [
@@ -171,10 +171,9 @@ def build_shard_engine(
     window = SlidingWindow(config.window_seconds)
     cross = cross_source_filter if config.cross_source_only else None
     if config.mode == "approx":
-        scheme = MinHashScheme(perms=config.perms, bands=config.bands)
         return SketchStreamingSetJoin(
             func,
-            scheme=scheme,
+            scheme=shared_scheme(perms=config.perms, bands=config.bands),
             window=window,
             meter=meter,
             band_filter=(
@@ -234,6 +233,14 @@ class ShardWorker:
         self.num_shards = num_shards
         self.worker = worker
         self.func = get_similarity(config.similarity, config.threshold)
+        #: The process's shared MinHash scheme in approx mode (``None``
+        #: for exact runs): every incoming batch is sketched in one
+        #: kernel call before its records reach the shard engines.
+        self.scheme = (
+            shared_scheme(perms=config.perms, bands=config.bands)
+            if config.mode == "approx"
+            else None
+        )
         self.meters: Dict[int, WorkMeter] = {}
         self.engines: Dict[int, StreamingSetJoin] = {}
         for shard in shard_ids:
@@ -300,6 +307,15 @@ class ShardWorker:
             self._batch_seq.get(shard, 0)
         )
 
+    def _sketch(self, items: Sequence[Tuple[int, Record]]) -> None:
+        """Band keys of the batch's records in one kernel call (a dict
+        hit per record already sketched in this process). Keys are
+        recomputed here rather than shipped: the kernel costs a few
+        microseconds per record and the wire format stays keyless."""
+        self.scheme.band_keys_batch(
+            [record.tokens for _op, record in items if record.tokens]
+        )
+
     def process_batch(
         self, shard: int, items: Sequence[Tuple[int, Record]]
     ) -> None:
@@ -324,6 +340,8 @@ class ShardWorker:
                 )
                 return
         start = time.monotonic()
+        if self.scheme is not None:
+            self._sketch(items)
         engine = self.engines[shard]
         meter = self.meters[shard]
         rows = self.matches
@@ -363,14 +381,19 @@ class ShardWorker:
         probe/insert/match-emit windows become trace events). Emitted
         spans tile the batch window in canonical phase order (probe,
         insert, flush) — per-phase totals are exact, positions within
-        the batch approximate (the two phases interleave per record)."""
+        the batch approximate (the two phases interleave per record).
+        The batch's band-key kernel call counts as probe time: it is the
+        sketching each probe would otherwise do per record."""
         monotonic = time.monotonic
         tracer = self.tracer
         start = monotonic()
+        probe_s = insert_s = 0.0
+        if self.scheme is not None:
+            self._sketch(items)
+            probe_s = monotonic() - start
         engine = self.engines[shard]
         meter = self.meters[shard]
         rows = self.matches
-        probe_s = insert_s = 0.0
         had_probe = had_insert = False
         batched = engine.batched()
         batched.__enter__()
@@ -489,7 +512,7 @@ class ShardWorker:
         if record_spans:
             spans = self.spans
             cursor = start
-            if had_probe:
+            if had_probe or probe_s:
                 spans.record(_PROBE_PHASE, cursor, cursor + probe_s, shard, seq)
                 cursor += probe_s
             if had_insert:

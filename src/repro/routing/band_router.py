@@ -22,9 +22,15 @@ The router and every shard's :class:`~repro.sketch.engine.BandFilter`
 must agree on ownership, so both use :func:`band_owner`; determinism
 across processes follows from the scheme's seeded hashes (band keys are
 value-determined ``int`` hashes — see :mod:`repro.sketch.minhash`).
+Router and engines in one process share one scheme
+(:func:`~repro.sketch.minhash.shared_scheme`), and :meth:`BandRouter.prepare`
+sketches a block of records in one numpy kernel call before it is
+routed.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.records import Record
 from repro.routing.base import Router, RoutingDecision
@@ -57,14 +63,24 @@ class BandRouter(Router):
         tokens = record.tokens
         if not tokens:
             return RoutingDecision(index_tasks=(0,), probe_tasks=(0,))
-        _sig, keys = self.scheme.sketch(tokens)
+        keys = self.scheme.keys(tokens)
         workers = self.num_workers
         owners = tuple(sorted({
             band_owner(band, key, workers) for band, key in enumerate(keys)
         }))
         return RoutingDecision(index_tasks=owners, probe_tasks=owners)
 
+    def prepare(self, records: Sequence[Record]) -> None:
+        """Sketch a block of records in one kernel call, so each
+        :meth:`route` (and every engine in this process sharing the
+        scheme) reads its band keys from the cache."""
+        self.scheme.band_keys_batch(
+            [record.tokens for record in records if record.tokens]
+        )
+
     def routing_units(self, record: Record, cost) -> float:
-        """Band routing hashes one key per band (sketching itself is
-        memoised scheme work, charged to the engines that share it)."""
+        """Band routing hashes one key per band. Computing the keys is
+        not charged: the simulated cost model meters routing decisions,
+        and the keys come from the per-process scheme cache that the
+        engines read too (see :mod:`repro.sketch.minhash`)."""
         return cost.route_token * self.scheme.bands

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from repro.records import Record
 
@@ -41,6 +41,12 @@ class Router:
 
     def route(self, record: Record) -> RoutingDecision:
         raise NotImplementedError
+
+    def prepare(self, records: Sequence[Record]) -> None:
+        """Precompute what :meth:`route` needs for a block of records
+        about to be routed, in arrival order. A pure speed hook: routing
+        decisions never depend on it. Only the band scheme does work
+        here."""
 
     #: Work units the dispatcher should charge per routed record, on
     #: top of the cost model's flat ``route_record``; schemes that hash

@@ -35,7 +35,7 @@ from repro.routing.broadcast_router import BroadcastRouter
 from repro.routing.length_router import LengthRouter
 from repro.routing.prefix_router import PrefixRouter
 from repro.similarity.functions import SimilarityFunction
-from repro.sketch.minhash import MinHashScheme
+from repro.sketch.minhash import shared_scheme
 
 
 def plan_routing(
@@ -57,7 +57,7 @@ def plan_routing(
         # The sketch tier shards by band bucket regardless of the
         # configured distribution (the config layer rejects non-default
         # distributions in approx mode).
-        scheme = MinHashScheme(perms=config.perms, bands=config.bands)
+        scheme = shared_scheme(perms=config.perms, bands=config.bands)
         return BandRouter(workers, scheme), None
     if config.distribution == "prefix":
         return PrefixRouter(workers, func), None

@@ -18,6 +18,7 @@ from repro.sketch.minhash import (
     MinHashScheme,
     estimate_jaccard,
     merge_signatures,
+    shared_scheme,
 )
 from repro.sketch.recall import match_pairs, observables_recall
 
@@ -32,4 +33,5 @@ __all__ = [
     "merge_signatures",
     "observables_recall",
     "recall_lower_bound",
+    "shared_scheme",
 ]

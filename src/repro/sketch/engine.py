@@ -79,7 +79,7 @@ from repro.core.metering import WorkMeter
 from repro.records import Record
 from repro.similarity.functions import SimilarityFunction
 from repro.similarity.verification import verify_pair
-from repro.sketch.minhash import MinHashScheme
+from repro.sketch.minhash import MinHashScheme, shared_scheme
 from repro.streams.window import SlidingWindow
 
 __all__ = ["SketchStreamingSetJoin", "BandFilter"]
@@ -140,7 +140,11 @@ class SketchStreamingSetJoin:
         Similarity function with threshold (verification + length
         bounds — unchanged from the exact engine).
     scheme:
-        The :class:`MinHashScheme`; a default one is built if omitted.
+        The :class:`MinHashScheme`; this process's shared default-
+        configured scheme if omitted. Probes and inserts read band keys
+        through :meth:`MinHashScheme.keys`, so a caller that sketched a
+        batch with :meth:`MinHashScheme.band_keys_batch` first pays one
+        dict hit per record.
     window:
         Sliding window; defaults to unbounded.
     meter:
@@ -160,7 +164,7 @@ class SketchStreamingSetJoin:
         band_filter: Optional[BandFilter] = None,
     ):
         self.func = func
-        self.scheme = scheme if scheme is not None else MinHashScheme()
+        self.scheme = scheme if scheme is not None else shared_scheme()
         self.window = window if window is not None else SlidingWindow()
         self.meter = meter if meter is not None else WorkMeter()
         self.band_filter = band_filter
@@ -201,7 +205,7 @@ class SketchStreamingSetJoin:
             meter.charge("posting_insert", 0)
             meter.event("postings_inserted", 0)
             return
-        _sig, keys = self.scheme.sketch(tokens)
+        keys = self.scheme.keys(tokens)
         group = self._groups.get(keys)
         if group is None:
             band_filter = self.band_filter
@@ -243,7 +247,7 @@ class SketchStreamingSetJoin:
         now = record.timestamp
         bounded = self._bounded
         seconds = self.window.seconds
-        _sig, keys = self.scheme.sketch(tokens)
+        keys = self.scheme.keys(tokens)
         band_filter = self.band_filter
         results: List[MatchResult] = []
         MR = MatchResult

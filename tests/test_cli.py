@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_BROKEN_PIPE, main
 
 
 class TestGenerateAndStats:
@@ -686,3 +689,72 @@ class TestExplainCli:
     def test_same_method_rejected(self, capsys):
         assert main(["explain", "LEN", "LEN"]) == 2
         assert "must differ" in capsys.readouterr().err
+
+
+#: The in-tree sources, for CLI subprocesses.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def repro_subprocess(argv, **kwargs):
+    """``python -m repro ARGV`` in a fresh interpreter on the in-tree
+    sources (the environment, including ``REPRO_ARCHIVE``, inherited)."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv], env=env, **kwargs
+    )
+
+
+class TestClosedStdout:
+    """``repro ... | head -1``: a reader that goes away early ends the
+    run with a quiet non-zero exit, never a traceback."""
+
+    @pytest.fixture
+    def corpus_file(self, tmp_path):
+        path = tmp_path / "c.txt"
+        assert main(["generate", str(path), "--records", "300",
+                     "--seed", "4"]) == 0
+        return path
+
+    def run_with_closed_stdout(self, argv):
+        # The read end is closed before the child starts, so its first
+        # flush of stdout fails with EPIPE deterministically.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = repro_subprocess(
+                argv, stdout=write_end, stderr=subprocess.PIPE
+            )
+        finally:
+            os.close(write_end)
+        _, stderr = proc.communicate(timeout=120)
+        return proc.returncode, stderr.decode()
+
+    def test_join_pairs(self, corpus_file, capsys):
+        code, stderr = self.run_with_closed_stdout(
+            ["join", str(corpus_file), "--pairs", "--parallel",
+             "--workers", "2"]
+        )
+        assert code == EXIT_BROKEN_PIPE
+        assert "Traceback" not in stderr and "BrokenPipe" not in stderr
+
+    def test_spans(self, corpus_file, tmp_path, capsys):
+        spans = tmp_path / "s.jsonl"
+        assert main(["join", str(corpus_file), "--parallel", "--workers",
+                     "2", "--spans-out", str(spans)]) == 0
+        code, stderr = self.run_with_closed_stdout(["spans", str(spans)])
+        assert code == EXIT_BROKEN_PIPE
+        assert "Traceback" not in stderr and "BrokenPipe" not in stderr
+
+    def test_reader_closing_mid_stream(self, corpus_file):
+        # What ``| head -1`` does: read one line, then close.
+        proc = repro_subprocess(
+            ["join", str(corpus_file), "--pairs", "--threshold", "0.1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.wait(timeout=120)
+        assert "Traceback" not in stderr and "BrokenPipe" not in stderr
+        assert proc.returncode in (0, EXIT_BROKEN_PIPE)

@@ -13,18 +13,25 @@ Three layers of evidence, mirroring DESIGN §15:
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.harness import standard_configs
 from repro.cli import main
-from repro.core.config import JoinConfig
+from repro.core.config import MAX_BATCH_SIZE, JoinConfig
 from repro.core.local_join import StreamingSetJoin
 from repro.core.metering import WorkMeter
 from repro.parallel import ParallelJoinRunner, run_serial
 from repro.records import Record
 from repro.routing.band_router import BandRouter, band_owner
 from repro.similarity.functions import get_similarity
+from repro.sketch import minhash as minhash_module
 from repro.sketch.analysis import (
     collision_probability,
     expected_recall,
@@ -36,6 +43,7 @@ from repro.sketch.minhash import (
     MinHashScheme,
     estimate_jaccard,
     merge_signatures,
+    shared_scheme,
 )
 from repro.sketch.recall import match_pairs, observables_recall
 from repro.streams.window import SlidingWindow
@@ -162,6 +170,108 @@ class TestMinHashScheme:
         assert MinHashScheme(perms=64, bands=16).describe() == {
             "perms": 64, "bands": 16, "rows": 4, "seed": DEFAULT_SEED,
         }
+
+
+#: Token ids at the kernel's limb and modulus edges: the 32-bit split,
+#: and the largest id below the Mersenne modulus.
+EDGE_TOKENS = (0, 1, 2**32 - 1, 2**32, 2**61 - 2)
+
+SCHEME_SHAPES = [(1, 1), (64, 4), (64, 8), (128, 16)]
+
+token_tuples = st.lists(
+    st.one_of(
+        st.sampled_from(EDGE_TOKENS), st.integers(0, 2**61 - 2),
+        st.integers(0, 60),
+    ),
+    min_size=1, max_size=40,
+).map(lambda tokens: tuple(sorted(set(tokens))))
+
+
+def scalar_keys(perms, bands, tuples):
+    """The reference: a fresh scheme's scalar ``sketch()[1]`` per tuple."""
+    scheme = MinHashScheme(perms=perms, bands=bands)
+    return [scheme.sketch(tokens)[1] for tokens in tuples]
+
+
+class TestBandKeysBatch:
+    """The numpy kernel against the scalar reference, bit for bit."""
+
+    @pytest.mark.parametrize("perms,bands", SCHEME_SHAPES)
+    def test_edge_singletons_and_pairs(self, perms, bands):
+        tuples = [(t,) for t in EDGE_TOKENS] + [
+            (a, b) for a in EDGE_TOKENS for b in EDGE_TOKENS if a < b
+        ] + [EDGE_TOKENS]
+        scheme = MinHashScheme(perms=perms, bands=bands)
+        assert scheme.band_keys_batch(tuples) == scalar_keys(
+            perms, bands, tuples
+        )
+
+    @pytest.mark.parametrize("perms,bands", SCHEME_SHAPES)
+    @settings(max_examples=25, deadline=None)
+    @given(batch=st.lists(token_tuples, min_size=1, max_size=30))
+    def test_mixed_lengths_and_repeats(self, perms, bands, batch):
+        batch = batch + batch[::2]  # repeated records within the batch
+        scheme = MinHashScheme(perms=perms, bands=bands)
+        expected = scalar_keys(perms, bands, batch)
+        assert scheme.band_keys_batch(batch) == expected
+        # Batch size 1, and a second pass served from the cache.
+        single = MinHashScheme(perms=perms, bands=bands)
+        assert [single.band_keys_batch([t])[0] for t in batch] == expected
+        assert scheme.band_keys_batch(batch) == expected
+        assert [scheme.keys(t) for t in batch] == expected
+
+    @pytest.mark.parametrize("perms,bands", [(64, 4), (128, 16)])
+    def test_max_batch_size(self, perms, bands):
+        import random
+
+        rng = random.Random(7)
+        pool = [
+            tuple(sorted({rng.randrange(2**61 - 1)
+                          for _ in range(rng.randint(1, 12))}))
+            for _ in range(300)
+        ] + [(t,) for t in EDGE_TOKENS]
+        batch = [pool[i % len(pool)] for i in range(MAX_BATCH_SIZE)]
+        keys = MinHashScheme(perms=perms, bands=bands).band_keys_batch(batch)
+        reference = dict(zip(pool, scalar_keys(perms, bands, pool)))
+        assert len(keys) == MAX_BATCH_SIZE
+        assert all(k == reference[t] for t, k in zip(batch, keys))
+
+    def test_kernel_passes_split_large_batches(self, monkeypatch):
+        # A cell budget far below the batch forces many kernel passes.
+        monkeypatch.setattr(minhash_module, "_KERNEL_CELLS", 64 * 5)
+        tuples = [tuple(range(i, i + 1 + i % 9)) for i in range(200)]
+        scheme = MinHashScheme(perms=64, bands=8)
+        assert scheme.band_keys_batch(tuples) == scalar_keys(64, 8, tuples)
+
+    def test_ids_outside_uint64_use_the_scalar_path(self):
+        tuples = [(-3, 5), (2**64, 7), (2**61 - 1, 2**61, 2**64 - 1)]
+        scheme = MinHashScheme(perms=64, bands=8)
+        assert scheme.band_keys_batch(tuples) == scalar_keys(64, 8, tuples)
+
+    def test_empty_tuple_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            MinHashScheme(perms=8, bands=2).band_keys_batch([(1,), ()])
+
+    def test_cache_bound_clears_wholesale(self, monkeypatch):
+        monkeypatch.setattr(minhash_module, "_KEYS_LIMIT", 8)
+        scheme = MinHashScheme(perms=16, bands=4)
+        first = [(i,) for i in range(6)]
+        scheme.band_keys_batch(first)
+        second = [(i,) for i in range(6, 12)]
+        assert scheme.band_keys_batch(second) == scalar_keys(16, 4, second)
+        assert len(scheme._keys) == 6
+        for i in range(12, 30):
+            scheme.keys((i,))
+            assert len(scheme._keys) <= 8
+
+    def test_shared_scheme_is_one_per_configuration(self):
+        a = shared_scheme(perms=64, bands=4)
+        assert shared_scheme(perms=64, bands=4) is a
+        assert shared_scheme(perms=64, bands=8) is not a
+        assert shared_scheme(64, 4, seed=DEFAULT_SEED + 1) is not a
+        assert SketchStreamingSetJoin(
+            get_similarity("jaccard", 0.6)
+        ).scheme is shared_scheme()
 
 
 class TestBandingAnalysis:
@@ -445,7 +555,10 @@ class TestDifferentialRecall:
         self.assert_recall_contract(result)
 
     @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_process_transports_bit_identical(self, transport):
+    def test_process_transports_bit_identical(self, transport, monkeypatch):
+        # Fresh per-process schemes: forked workers must compute their
+        # own band keys instead of inheriting this process's cache.
+        monkeypatch.setattr(minhash_module, "_SHARED", {})
         runner = ParallelJoinRunner(
             APPROX_CONFIG, workers=2, executor="process",
             batch_size=64, transport=transport,
@@ -455,6 +568,105 @@ class TestDifferentialRecall:
         assert result.operations == self.approx.operations, transport
         assert result.events == self.approx.events, transport
         self.assert_recall_contract(result)
+
+    INSTRUMENTATION = [
+        {"spans": True},
+        {"trace": True, "trace_sample": 4},
+        {"spans": True, "trace": True, "trace_sample": 3, "telemetry": True},
+    ]
+
+    @pytest.mark.parametrize("options", INSTRUMENTATION)
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_inline_instrumentation_on_off(self, workers, options):
+        result = ParallelJoinRunner(
+            APPROX_CONFIG, workers=workers, executor="inline",
+            batch_size=64, **options,
+        ).run(self.records)
+        context = f"workers={workers}/{options}"
+        assert result.matches == self.approx.matches, context
+        assert result.operations == self.approx.operations, context
+        assert result.events == self.approx.events, context
+
+    @pytest.mark.parametrize("options", INSTRUMENTATION)
+    def test_process_instrumentation_on_off(self, options, monkeypatch):
+        monkeypatch.setattr(minhash_module, "_SHARED", {})
+        runner = ParallelJoinRunner(
+            APPROX_CONFIG, workers=2, executor="process",
+            batch_size=64, transport="pipe", **options,
+        )
+        result = try_process_run(runner, self.records)
+        assert result.matches == self.approx.matches, options
+        assert result.operations == self.approx.operations, options
+        assert result.events == self.approx.events, options
+        if options.get("spans"):
+            assert result.phase_totals()["workers"], options
+
+    def test_scalar_path_reproduces_kernel_run(self, monkeypatch):
+        """The reference run (keys from the scalar ``sketch``, as before
+        the batch kernel existed) equals the kernel-fed run."""
+        monkeypatch.setattr(minhash_module, "_SHARED", {})
+        monkeypatch.setattr(minhash_module, "_kernel_supported", lambda: False)
+        scalar = run_serial(APPROX_CONFIG, self.records)
+        assert scalar.matches == self.approx.matches
+        assert scalar.operations == self.approx.operations
+        assert scalar.events == self.approx.events
+
+
+#: Runs in a fresh interpreter: exact work and approx planning must never
+#: import numpy (the batch kernel imports it on its first call).
+LAZY_NUMPY_PROBE = r"""
+import sys
+
+def assert_no_numpy(step):
+    assert "numpy" not in sys.modules, f"numpy imported by {step}"
+
+import repro.cli
+assert_no_numpy("import repro.cli")
+
+from repro.core.config import JoinConfig
+from repro.core.join import DistributedStreamJoin
+from repro.datasets.loader import load_token_file
+from repro.parallel import ParallelJoinRunner
+from repro.parallel.planner import plan_shards
+
+path = sys.argv[1]
+stream, _ = load_token_file(path)
+approx = JoinConfig(mode="approx", perms=64, bands=4)
+plan_shards(approx, stream.corpus)
+DistributedStreamJoin(approx).plan(stream)
+assert_no_numpy("approx planning")
+
+assert repro.cli.main(
+    ["join", path, "--parallel", "--workers", "2", "--pairs"]
+) == 0
+assert repro.cli.main(["join", path, "--bundles"]) == 0
+ParallelJoinRunner(JoinConfig(), workers=2, executor="inline").run(stream)
+assert_no_numpy("an exact join")
+
+ParallelJoinRunner(approx, workers=2, executor="inline").run(stream)
+assert "numpy" in sys.modules, "the approx join never reached the kernel"
+print("lazy-numpy-ok")
+"""
+
+
+class TestLazyNumpy:
+    def test_exact_runs_and_approx_planning_leave_numpy_unloaded(
+        self, tmp_path
+    ):
+        corpus = tmp_path / "c.txt"
+        assert main(["generate", str(corpus), "--records", "400",
+                     "--seed", "9"]) == 0
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ, PYTHONPATH=src + (os.pathsep + path if path else "")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_NUMPY_PROBE, str(corpus)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip().endswith("lazy-numpy-ok")
 
 
 class TestHarnessSuite:
