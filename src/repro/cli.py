@@ -516,6 +516,17 @@ def _add_obs_flags(command: argparse.ArgumentParser, default_stride: int) -> Non
                               "their events as JSONL")
 
 
+def _read_token_file(command: str, path: str, **options):
+    """:func:`load_token_file`, or ``None`` after reporting an unreadable
+    input (missing, a directory, not UTF-8) on stderr."""
+    try:
+        return load_token_file(path, **options)
+    except (OSError, UnicodeDecodeError) as error:
+        reason = getattr(error, "strerror", None) or error
+        print(f"{command}: cannot read {path}: {reason}", file=sys.stderr)
+        return None
+
+
 def _make_observer(args) -> Optional[RunObserver]:
     """An observer matching the obs flags (None if nothing requested)."""
     want_trace = args.trace_out is not None or getattr(args, "command", "") == "trace"
@@ -659,9 +670,12 @@ def _cmd_join(args) -> int:
                   f"number of seconds, got {args.heartbeat_interval}",
                   file=sys.stderr)
             return 2
-    stream, dictionary = load_token_file(
-        args.input, rate=args.rate, max_records=args.max_records
+    loaded = _read_token_file(
+        "join", args.input, rate=args.rate, max_records=args.max_records
     )
+    if loaded is None:
+        return 2
+    stream, dictionary = loaded
     try:
         config = JoinConfig(
             similarity=args.similarity,
@@ -1028,7 +1042,7 @@ def _is_rectrace_artefact(path: str) -> bool:
                     and row.get("kind") == "header"
                     and row.get("artefact") == "rectrace"
                 )
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return False
     return False
 
@@ -1132,7 +1146,10 @@ def _cmd_trace(args) -> int:
     if args.smoke:
         return _trace_smoke(args)
     if args.input is not None:
-        stream, _ = load_token_file(args.input, rate=args.rate)
+        loaded = _read_token_file("trace", args.input, rate=args.rate)
+        if loaded is None:
+            return 2
+        stream, _ = loaded
     else:
         stream = CORPUS_BUILDERS[args.corpus](args.records, seed=args.seed)
     config = JoinConfig(
@@ -1612,7 +1629,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    stream, dictionary = load_token_file(args.input, max_records=args.max_records)
+    loaded = _read_token_file("stats", args.input, max_records=args.max_records)
+    if loaded is None:
+        return 2
+    stream, _ = loaded
     print(format_table([stream.statistics().as_row()]))
     return 0
 

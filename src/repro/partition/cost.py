@@ -24,8 +24,16 @@ candidate generation
     the histogram term ``f(l)·f(l′)`` — which dominates in practice —
     is exact, and the estimator is only used to *compare* ranges.
 
-All three reduce to prefix-sum queries plus one ``O(range)`` loop, so a
-cost query is ``O(max_length)``.
+All three reduce to prefix-sum queries. The candidate term sums
+``w(l)·(G[min(b, hi(l))] − G[max(a, lo(l)) − 1])`` over the probe
+lengths ``l`` (``w = f·g``; ``G`` prefix sums of ``f·g``). ``lo`` and
+``hi`` are non-decreasing, so two bisection points split that range
+into pieces where each clip is constant, and each piece is a lookup
+in one of three integer prefix arrays built at construction.
+Construction is one ``O(max_length)`` pass; a cost query is two
+bisections, ``O(log max_length)``, with no per-length loop — so
+planning grows with the domain, not with its square. All sums are
+exact Python integers, converted to float once per query.
 """
 
 from __future__ import annotations
@@ -87,14 +95,24 @@ class JoinCostEstimator:
         for length in range(1, top + 1):
             self._g[length] = func.probe_prefix_length(length)
             lo, hi = func.length_bounds(length)
-            self._lo[length] = max(1, lo)
+            # Both bounds clipped to the domain; lo = top + 1 reaches nothing.
+            self._lo[length] = min(max(1, lo), top + 1)
             self._hi[length] = min(top, hi)
-        # Prefix sums: F of f, G of f·g.
-        self._F = [0.0] * (top + 1)
-        self._G = [0.0] * (top + 1)
+        # Integer prefix sums over lengths: F of f, G of w = f·g, and for
+        # the candidate term WH of w·G[hi] and WL of w·G[lo − 1].
+        self._F = [0] * (top + 1)
+        self._G = [0] * (top + 1)
+        self._WH = [0] * (top + 1)
+        self._WL = [0] * (top + 1)
         for length in range(1, top + 1):
             self._F[length] = self._F[length - 1] + self._f[length]
             self._G[length] = self._G[length - 1] + self._f[length] * self._g[length]
+        for length in range(1, top + 1):
+            weight = self._f[length] * self._g[length]
+            self._WH[length] = self._WH[length - 1] + weight * self._G[self._hi[length]]
+            self._WL[length] = (
+                self._WL[length - 1] + weight * self._G[self._lo[length] - 1]
+            )
         self._cache: Dict[Tuple[int, int], float] = {}
 
     # -- public -------------------------------------------------------------
@@ -143,14 +161,22 @@ class JoinCostEstimator:
             return 0.0
         fixed = self.probe_weight * (self._F[high] - self._F[low - 1])
         scale = self.candidate_weight / self.vocabulary_size
-        candidates = 0.0
-        for length in range(low, high + 1):
-            weight = self._f[length] * self._g[length]
-            if not weight:
-                continue
-            span_lo = max(a, self._lo[length])
-            span_hi = min(b, self._hi[length])
-            if span_lo > span_hi:
-                continue
-            candidates += weight * (self._G[span_hi] - self._G[span_lo - 1])
-        return fixed + scale * candidates
+        return fixed + scale * self._candidate_postings(a, b, low, high)
+
+    def _candidate_postings(self, a: int, b: int, low: int, high: int) -> int:
+        """``Σ w(l)·(G[min(b, hi(l))] − G[max(a, lo(l)) − 1])`` over ``[low, high]``.
+
+        Every ``l`` in the probe-source range has a non-empty span:
+        ``lo(l) <= b``, ``hi(l) >= a`` and ``lo(l) <= hi(l)`` (set
+        functions have ``lo(l) <= l <= hi(l)``; overlap's ``hi`` is the
+        whole domain). The upper clip is ``hi(l)`` below ``p`` (the
+        first ``l`` with ``hi(l) >= b``) and ``b`` from it on; the lower
+        clip is ``a`` below ``q`` (the first ``l`` with ``lo(l) > a``)
+        and ``lo(l)`` from it on.
+        """
+        G = self._G  # also the prefix sums of w
+        p = bisect_left(self._hi, b, low, high + 1)
+        q = bisect_right(self._lo, a, low, high + 1)
+        upper = self._WH[p - 1] - self._WH[low - 1] + G[b] * (G[high] - G[p - 1])
+        lower = G[a - 1] * (G[q - 1] - G[low - 1]) + self._WL[high] - self._WL[q - 1]
+        return upper - lower

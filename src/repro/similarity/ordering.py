@@ -77,7 +77,10 @@ class TokenDictionary:
         :func:`repro.similarity.tokenizers.multiset` upstream if bag
         semantics are needed.
         """
-        ids = {self.id_of(token) for token in tokens}
+        tokens = list(tokens)
+        ids = set(map(self._id_of.get, tokens))
+        if None in ids:  # an unseen token: assign ids in token order
+            ids = {self.id_of(token) for token in tokens}
         return tuple(sorted(ids))
 
     def decode(self, record: Iterable[int]) -> List[Hashable]:
@@ -96,9 +99,12 @@ class TokenDictionary:
         callers (the bench harness, the dataset builders) rank once,
         before canonicalizing anything.
         """
+        self._rank(self._id_of)
+
+    def _rank(self, tokens: Iterable[Hashable]) -> None:
+        frequency = self._frequency
         ordered = sorted(
-            self._id_of,
-            key=lambda token: (self._frequency.get(token, 0), repr(token)),
+            tokens, key=lambda token: (frequency.get(token, 0), repr(token))
         )
         self._id_of = {token: rank for rank, token in enumerate(ordered)}
         self._token_of = ordered
@@ -106,12 +112,15 @@ class TokenDictionary:
 
     @classmethod
     def from_corpus(cls, corpus: Iterable[Iterable[Hashable]]) -> "TokenDictionary":
-        """Build a frequency-ranked dictionary from raw token records."""
+        """Build a frequency-ranked dictionary from raw token records.
+
+        One pass over ``corpus`` (any iterable of iterables): each
+        record's distinct tokens are counted once, in first-seen order,
+        which is also the tie order of the ranking's stable sort.
+        """
         dictionary = cls()
-        materialized = [list(record) for record in corpus]
-        for record in materialized:
-            dictionary.observe(record)
-            for token in record:
-                dictionary.id_of(token)
-        dictionary.rank_by_frequency()
+        count = dictionary._frequency.update
+        for record in corpus:
+            count(dict.fromkeys(record).keys())
+        dictionary._rank(dictionary._frequency)
         return dictionary

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -758,3 +760,84 @@ class TestClosedStdout:
         proc.wait(timeout=120)
         assert "Traceback" not in stderr and "BrokenPipe" not in stderr
         assert proc.returncode in (0, EXIT_BROKEN_PIPE)
+
+
+class TestUnreadableInput:
+    """An input path that cannot be read as UTF-8 text ends the command
+    with a one-line diagnostic and exit 2, never a traceback."""
+
+    @pytest.fixture(params=["missing", "directory", "not-utf8"])
+    def bad_input(self, request, tmp_path):
+        if request.param == "missing":
+            return tmp_path / "absent.txt", "No such file or directory"
+        if request.param == "directory":
+            return tmp_path, "Is a directory"
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("caf\xe9 cr\xe8me\n".encode("latin-1"))
+        return path, "can't decode byte"
+
+    @pytest.mark.parametrize("command", ["join", "stats", "trace"])
+    def test_diagnostic_and_exit_2(self, command, bad_input):
+        path, reason = bad_input
+        proc = repro_subprocess(
+            [command, str(path)], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        stdout, stderr = proc.communicate(timeout=120)
+        stderr = stderr.decode()
+        assert proc.returncode == 2
+        assert "Traceback" not in stderr
+        assert stderr.startswith(f"{command}: cannot read {path}: ")
+        assert reason in stderr
+        assert stdout == b""
+
+
+class TestLongRecords:
+    """Two identical 70 000-token records: planning is linear in the
+    longest length, so every runtime finishes well inside the budget
+    and prints the pair ``run_serial`` finds."""
+
+    BUDGET_S = 20.0
+
+    @pytest.fixture(scope="class")
+    def long_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("long") / "long.txt"
+        record = " ".join(f"t{i}" for i in range(70_000))
+        path.write_text(f"{record}\n{record}\n")
+        return path
+
+    @pytest.fixture(scope="class")
+    def expected(self, long_file):
+        from repro.core.config import JoinConfig
+        from repro.datasets.loader import load_token_file
+        from repro.parallel.runtime import run_serial
+
+        stream, _ = load_token_file(long_file)
+        result = run_serial(JoinConfig(collect_pairs=True), stream)
+        return sorted(f"{similarity:.4f}\t{earlier}\t{later}"
+                      for _ts, later, earlier, _overlap, similarity
+                      in result.matches)
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--parallel", "--workers", "2", "--transport", "pipe"],
+        ["--parallel", "--workers", "2", "--transport", "shm"],
+    ], ids=["simulated", "pipe", "shm"])
+    def test_same_pairs_within_budget(self, long_file, expected, flags):
+        from repro.parallel.shm import shm_supported
+
+        if "shm" in flags and not shm_supported()[0]:
+            pytest.skip("shared memory unsupported on this host")
+        started = time.monotonic()
+        proc = repro_subprocess(
+            ["join", str(long_file), "--pairs", *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        stdout, stderr = proc.communicate(timeout=120)
+        elapsed = time.monotonic() - started
+        assert proc.returncode == 0, stderr.decode()
+        pairs = sorted(line for line in stdout.decode().splitlines()
+                       if re.match(r"^\d\.\d{4}\t\d+\t\d+$", line))
+        assert expected == ["1.0000\t0\t1"]
+        assert pairs == expected
+        assert elapsed < self.BUDGET_S, elapsed

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.corpora import (
     CORPUS_BUILDERS,
@@ -182,3 +184,58 @@ class TestLoader:
         path = tmp_path / "in.txt"
         path.write_text(text)
         return path
+
+
+def two_pass_load(lines, max_records=None):
+    """The two-pass load the one-pass dictionary replaced: observe and
+    assign ids token by token, rank, then map every token again."""
+    raw = [line.split() for line in lines if line.split()][:max_records]
+    dictionary = TokenDictionary()
+    for record in raw:
+        dictionary.observe(record)
+        for token in record:
+            dictionary.id_of(token)
+    dictionary.rank_by_frequency()
+    corpus = [tuple(sorted({dictionary.id_of(t) for t in r})) for r in raw]
+    return dictionary, corpus
+
+
+def dictionary_state(dictionary):
+    return (dictionary._token_of, dictionary._id_of,
+            dict(dictionary._frequency), dictionary.is_ranked)
+
+
+#: Tokens whose ``repr`` order differs from their ``str`` order (quotes
+#: switch repr's delimiters, backslashes double), plus non-ASCII ones.
+_token = st.text(alphabet="ab'\"\\é中", min_size=1, max_size=3)
+_record = st.lists(_token, max_size=8)  # repeats and blank lines included
+
+
+class TestOnePassDictionary:
+    @given(
+        records=st.lists(_record, max_size=25),
+        max_records=st.none() | st.integers(1, 12),
+    )
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_load_matches_two_pass_reference(self, tmp_path, records,
+                                             max_records):
+        lines = [" ".join(record) for record in records]
+        path = tmp_path / "in.txt"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        stream, dictionary = load_token_file(path, max_records=max_records)
+        reference, corpus = two_pass_load(lines, max_records)
+        assert dictionary_state(dictionary) == dictionary_state(reference)
+        assert stream.corpus == corpus
+
+    def test_from_corpus_accepts_one_shot_generators(self):
+        records = [["b", "a", "b"], ["c", "a"], ["a"]]
+        expected = TokenDictionary.from_corpus(records)
+        one_shot = TokenDictionary.from_corpus(iter(r) for r in records)
+        assert dictionary_state(one_shot) == dictionary_state(expected)
+        assert [expected.token_of(i) for i in range(3)] == ["b", "c", "a"]
+
+    def test_canonicalize_assigns_unseen_tokens_in_order(self):
+        dictionary = TokenDictionary.from_corpus([["x", "y"], ["y"]])
+        assert dictionary.canonicalize(iter(["q", "y", "p", "q"])) == (1, 2, 3)
+        assert [dictionary.token_of(i) for i in (2, 3)] == ["q", "p"]

@@ -1,5 +1,7 @@
 """Tests for length statistics, the cost estimator and partitioners."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from repro.partition.length_partition import (
     uniform_partition,
 )
 from repro.partition.stats import LengthHistogram
-from repro.similarity.functions import Jaccard
+from repro.similarity.functions import Cosine, Dice, Jaccard, Overlap
 
 
 def make_estimator(lengths, threshold=0.8, vocab=1000):
@@ -202,3 +204,143 @@ class TestLoadAwarePartition:
         for (_, hi), (lo, _) in zip(p.ranges, p.ranges[1:]):
             assert lo == hi + 1
         assert p.num_workers <= k
+
+
+# -- closed-form cost queries vs the per-length loop ----------------------------
+def reference_terms(est, a, b):
+    """The per-length loop the closed form replaced, one term per probe
+    length ``l`` reaching ``[a, b]``: ``(w(l), postings in its span)``."""
+    low, high = est._probe_sources(a, b)
+    for length in range(low, high + 1):
+        weight = est._f[length] * est._g[length]
+        span_lo, span_hi = max(a, est._lo[length]), min(b, est._hi[length])
+        if weight and span_lo <= span_hi:
+            yield weight, est._G[span_hi] - est._G[span_lo - 1]
+
+
+def reference_probe_cost(est, a, b):
+    """The probe cost as the loop computed it: a float running sum."""
+    low, high = est._probe_sources(a, b)
+    if low > high:
+        return 0.0
+    candidates = 0.0
+    for weight, postings in reference_terms(est, a, b):
+        candidates += weight * float(postings)
+    fixed = est.probe_weight * (est._F[high] - est._F[low - 1])
+    return fixed + est.candidate_weight / est.vocabulary_size * candidates
+
+
+class ReferenceEstimator(JoinCostEstimator):
+    def _probe_cost(self, a, b):
+        return reference_probe_cost(self, a, b)
+
+
+def histogram_of(counts):
+    histogram = LengthHistogram()
+    for length, count in counts.items():
+        histogram.observe(length, count=count)
+    return histogram
+
+
+#: Length histograms (length -> count) on domains of at most 60 lengths.
+_sparse = st.dictionaries(st.integers(1, 60), st.integers(1, 50),
+                          min_size=1, max_size=8)
+_one_giant = st.builds(
+    lambda short, giant: {**short, giant: 1},
+    st.dictionaries(st.integers(1, 6), st.integers(1, 400), max_size=6),
+    st.integers(40, 60),
+)
+_one_length = st.builds(lambda length, count: {length: count},
+                        st.integers(1, 60), st.integers(1, 1000))
+
+_FUNCTIONS = [Jaccard, Cosine, Dice]
+_THRESHOLDS = [0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95]
+
+
+class TestClosedFormCost:
+    @given(
+        counts=st.one_of(_sparse, _one_giant, _one_length),
+        func=st.sampled_from(_FUNCTIONS),
+        threshold=st.sampled_from(_THRESHOLDS),
+        vocab=st.integers(1, 50_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_query_equals_the_loop(self, counts, func, threshold, vocab):
+        histogram = histogram_of(counts)
+        est = JoinCostEstimator(histogram, func(threshold), vocabulary_size=vocab)
+        ref = ReferenceEstimator(histogram, func(threshold), vocabulary_size=vocab)
+        top = est.max_length
+        for a in range(1, top + 1):
+            for b in range(a, top + 1):
+                assert est.cost(a, b) == ref.cost(a, b), (a, b)
+        for k in (1, 2, 3, 8):
+            assert (load_aware_partition(est, k).ranges
+                    == load_aware_partition(ref, k).ranges)
+
+    @pytest.mark.parametrize("threshold", [1, 3, 70])
+    def test_overlap_bounds_beyond_lengths(self, threshold):
+        # Overlap's lower length bound is a constant that can exceed a
+        # length, or the whole domain.
+        histogram = histogram_of({1: 4, 2: 3, 5: 7, 9: 2, 40: 1})
+        est = JoinCostEstimator(histogram, Overlap(threshold))
+        ref = ReferenceEstimator(histogram, Overlap(threshold))
+        for a in range(1, 41):
+            for b in range(a, 41):
+                assert est.cost(a, b) == ref.cost(a, b), (a, b)
+
+    def test_sums_past_float_precision_stay_exact(self):
+        # w(l)·G[·] reaches ~1e22 here, far past 2**53: the integer
+        # candidate sum must equal the exact value, term for term.
+        histogram = histogram_of({length: 10**9 + length for length in range(1, 41)})
+        est = JoinCostEstimator(histogram, Jaccard(0.6), vocabulary_size=7)
+        assert est._WH[-1] > 2**53
+        for a, b in [(1, 40), (3, 17), (20, 20), (12, 40), (1, 1)]:
+            low, high = est._probe_sources(a, b)
+            exact = sum(weight * postings
+                        for weight, postings in reference_terms(est, a, b))
+            assert est._candidate_postings(a, b, low, high) == exact
+            fixed = est.probe_weight * (est._F[high] - est._F[low - 1])
+            value = fixed + est.candidate_weight / est.vocabulary_size * exact
+            assert math.isclose(est._probe_cost(a, b), value, rel_tol=1e-15)
+
+
+class _CountingList(list):
+    """A list that counts element reads (bisection probes included)."""
+
+    def __init__(self, values, reads):
+        super().__init__(values)
+        self._reads = reads
+
+    def __getitem__(self, index):
+        self._reads[0] += 1
+        return super().__getitem__(index)
+
+
+def _planning_reads(max_length, estimator_cls=JoinCostEstimator):
+    """Array reads ``load_aware_partition`` spends on a short-record
+    histogram plus two records of ``max_length`` tokens."""
+    counts = {length: 20 for length in range(1, 30)}
+    counts[max_length] = 2
+    est = estimator_cls(histogram_of(counts), Jaccard(0.8), vocabulary_size=5000)
+    reads = [0]
+    for name, value in list(vars(est).items()):
+        if isinstance(value, list):
+            setattr(est, name, _CountingList(value, reads))
+    load_aware_partition(est, 8)
+    return reads[0]
+
+
+#: "At most roughly double": the closed form measures ~2.05 per doubling
+#: (the bisections add a log factor), the per-length loop ~2.8 and rising.
+_DOUBLING_BOUND = 2.3
+
+
+class TestPlanningComplexity:
+    def test_doubling_the_longest_record_at_most_doubles_the_work(self):
+        small, large = _planning_reads(2000), _planning_reads(4000)
+        assert large <= _DOUBLING_BOUND * small, (small, large)
+
+    def test_the_counter_sees_the_quadratic_loop(self):
+        small = _planning_reads(250, ReferenceEstimator)
+        large = _planning_reads(500, ReferenceEstimator)
+        assert large > _DOUBLING_BOUND * small, (small, large)
